@@ -228,6 +228,9 @@ type Cluster struct {
 	// mid-timeline waits for engine quiescence so the post-drain
 	// event tail stays deterministic.
 	pendingClose bool
+	// settled mirrors Pool.settled: no submission is applied before
+	// the engine first reaches its idle hook.
+	settled bool
 
 	// Fleet snapshot frozen at every job completion (see onJobDone in
 	// pool.go): the last one is the deterministic end-of-trace ledger
@@ -529,6 +532,9 @@ func (c *Cluster) Stats() ClusterStats {
 
 // pump drains pending submissions without blocking (engine tick hook).
 func (c *Cluster) pump() {
+	if !c.settled {
+		return
+	}
 	for {
 		select {
 		case msg := <-c.msgs:
@@ -553,6 +559,7 @@ func (c *Cluster) pump() {
 // flight anywhere is a genuine scheduling deadlock — refuse, so the
 // engine's diagnostics fire.
 func (c *Cluster) pumpBlocking() bool {
+	c.settled = true
 	if c.arrivals.Len() > 0 {
 		return false
 	}

@@ -64,7 +64,7 @@ type JobRequest struct {
 // time and id — never on wall-clock submission timing — because
 // external stimuli enter the event order through front-priority
 // injection at their virtual timestamps. Submitting a whole trace in
-// one Submit call to a quiescent pool therefore reproduces
+// one Submit call to a fresh or quiescent pool therefore reproduces
 // byte-identical per-job reports and observer event sequences run
 // after run. Jobs submitted "at now" from live callers (a serving
 // process) get arrival times assigned by wall-clock race and are
@@ -82,6 +82,11 @@ type Pool struct {
 	// post-drain event tail (idle parks, tempo spin-downs)
 	// nondeterministic.
 	pendingClose bool
+	// settled is set by the first pumpBlocking call. Until the engine
+	// has first gone quiescent (every startup event run), pump applies
+	// nothing, so a submission handed in right after NewPool is taken
+	// at the same virtual instant however the wall clock falls.
+	settled bool
 
 	mu     sync.Mutex
 	closed bool
@@ -225,6 +230,9 @@ func (p *Pool) Config() Config { return p.cfg }
 // pump drains pending submissions without blocking; it runs on the
 // engine goroutine between events.
 func (p *Pool) pump() {
+	if !p.settled {
+		return
+	}
 	for {
 		select {
 		case msg := <-p.msgs:
@@ -245,6 +253,7 @@ func (p *Pool) pump() {
 // still in flight is a genuine scheduling deadlock — refuse so the
 // engine's loud deadlock diagnostics fire instead of hanging silently.
 func (p *Pool) pumpBlocking() bool {
+	p.settled = true
 	if len(p.s.pool.active) > 0 {
 		return false
 	}

@@ -1,50 +1,13 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"strings"
 
 	"hermes/internal/units"
 )
-
-// Event is a scheduled wake-up for a process. Cancelled events stay in
-// the heap and are skipped lazily.
-type Event struct {
-	t        units.Time
-	prio     int8
-	seq      uint64
-	p        *Proc
-	canceled bool
-}
-
-// Cancel marks the event so it will not fire. Safe to call on an
-// already-cancelled event.
-func (e *Event) Cancel() { e.canceled = true }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	if h[i].prio != h[j].prio {
-		return h[i].prio < h[j].prio
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
 
 type procState uint8
 
@@ -57,28 +20,48 @@ const (
 
 // Proc is a simulated process.
 type Proc struct {
-	eng     *Engine
-	ID      int
-	Name    string
-	wake    chan struct{}
-	pending *Event
-	state   procState
-	fn      func(*Proc)
+	eng   *Engine
+	ID    int
+	Name  string
+	state procState
+	fn    func(*Proc)
+
+	// resume runs the process coroutine until its next park (ok) or
+	// its end (!ok); yield, valid while the body runs, parks it.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+
+	// The process's one pending wake, keyed (at, prio, seq) in the
+	// engine's queue; slot is its queue index, -1 when none is pending.
+	at   units.Time
+	prio int8
+	seq  uint64
+	slot int
 }
 
-type ctrl struct {
-	p        *Proc
-	finished bool
+// before orders pending wakes: virtual time, then priority, then
+// schedule order.
+func (p *Proc) before(q *Proc) bool {
+	if p.at != q.at {
+		return p.at < q.at
+	}
+	if p.prio != q.prio {
+		return p.prio < q.prio
+	}
+	return p.seq < q.seq
 }
 
-// Engine owns the virtual clock and the event queue.
+// Engine owns the virtual clock and the wake queue.
 type Engine struct {
-	now     units.Time
-	events  eventHeap
+	now units.Time
+	// queue is a 4-ary min-heap of the processes with a pending wake,
+	// each holding its own index in Proc.slot. A process has at most
+	// one wake, so rescheduling sifts it in place and cancelling
+	// removes it: nothing stale is ever queued.
+	queue   []*Proc
 	seq     uint64
 	procs   []*Proc
 	alive   int
-	control chan ctrl
 	current *Proc
 
 	// trap records the first panic raised inside a process. Once set,
@@ -86,14 +69,14 @@ type Engine struct {
 	// process (park resumes panic with abortSignal, so user defers
 	// run), and re-raises the original panic from Run on the caller's
 	// goroutine — where it can be recovered like any function panic
-	// instead of crashing the process from an engine goroutine.
+	// instead of crashing the process from a coroutine.
 	trap    any
 	trapped bool
 
 	// tick, if set, runs at the top of every Run iteration, and idle
-	// runs when the event queue is empty with processes still alive
+	// runs when the wake queue is empty with processes still alive
 	// (idle returning true retries instead of declaring deadlock).
-	// Both execute on the engine goroutine with no process current, so
+	// Both execute on Run's goroutine with no process current, so
 	// they may call Inject to hand external stimuli (job arrivals,
 	// shutdown) into the deterministic event order.
 	tick func()
@@ -105,8 +88,8 @@ type abortSignal struct{}
 
 // TaskPanic is the value Engine.Run re-raises when a process
 // panicked: the original panic value plus the stack of the faulting
-// process goroutine, which would otherwise be lost in the trap/
-// re-raise handoff.
+// process, which would otherwise be lost in the trap/re-raise
+// handoff.
 type TaskPanic struct {
 	Value any
 	Stack []byte
@@ -117,16 +100,14 @@ func (t *TaskPanic) Error() string {
 }
 
 // NewEngine returns an engine at virtual time zero.
-func NewEngine() *Engine {
-	return &Engine{control: make(chan ctrl)}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // SetTick installs fn to run at the top of every Run iteration, before
 // the next event is dispatched. Use it to poll external (non-virtual)
 // inputs without blocking event processing.
 func (e *Engine) SetTick(fn func()) { e.tick = fn }
 
-// SetIdle installs fn to run when the event queue is empty while
+// SetIdle installs fn to run when the wake queue is empty while
 // processes are still alive — the quiescent state a persistent
 // simulation reaches between stimuli. fn returning true resumes the
 // loop (it is expected to have scheduled new events, typically via
@@ -150,13 +131,10 @@ func (e *Engine) Inject(p *Proc, t units.Time) {
 	if t < e.now {
 		t = e.now
 	}
-	if p.pending != nil {
-		if p.pending.t <= t {
-			return // already waking at or before t
-		}
-		p.pending.Cancel()
+	if p.slot >= 0 && p.at <= t {
+		return // already waking at or before t
 	}
-	p.pending = e.scheduleAt(t, -1, p)
+	e.schedule(p, t, -1)
 }
 
 // IsUnwind reports whether a recovered panic value is the engine's
@@ -180,54 +158,124 @@ func (e *Engine) Current() *Proc { return e.current }
 // time, after already-scheduled events at that time. It may be called
 // before Run or from a running process.
 func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
-	p := &Proc{eng: e, ID: len(e.procs), Name: name, wake: make(chan struct{}), fn: fn}
+	p := &Proc{eng: e, ID: len(e.procs), Name: name, fn: fn, slot: -1}
+	p.resume, _ = iter.Pull(p.body)
 	e.procs = append(e.procs, p)
 	e.alive++
-	p.pending = e.schedule(e.now, p)
-	go func() {
-		<-p.wake // first resume
-		p.pending = nil
-		p.state = stateRunning
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, unwinding := r.(abortSignal); !unwinding && !e.trapped {
-						e.trapped = true
-						e.trap = &TaskPanic{Value: r, Stack: debug.Stack()}
-					}
-				}
-			}()
-			if e.trapped {
-				return // woken only to unwind before ever starting
-			}
-			p.fn(p)
-		}()
-		p.state = stateDone
-		e.control <- ctrl{p: p, finished: true}
-	}()
+	e.schedule(p, e.now, 0)
 	return p
 }
 
-func (e *Engine) schedule(t units.Time, p *Proc) *Event {
-	return e.scheduleAt(t, 0, p)
+// body is the process coroutine. A panic in fn becomes the engine's
+// trap, captured here so the stack is the faulting process's own.
+func (p *Proc) body(yield func(struct{}) bool) {
+	p.yield = yield
+	e := p.eng
+	defer func() {
+		if r := recover(); r != nil {
+			if _, unwinding := r.(abortSignal); !unwinding && !e.trapped {
+				e.trapped = true
+				e.trap = &TaskPanic{Value: r, Stack: debug.Stack()}
+			}
+		}
+	}()
+	if e.trapped {
+		return // resumed only to unwind before ever starting
+	}
+	p.fn(p)
 }
 
-// scheduleAt enqueues a wake with an explicit tie-break priority; the
-// priority must be fixed before the heap insert or ordering breaks.
-func (e *Engine) scheduleAt(t units.Time, prio int8, p *Proc) *Event {
+// schedule sets p's one wake to (t, prio, next seq), queueing it or
+// sifting it in place if a wake was already pending.
+func (e *Engine) schedule(p *Proc, t units.Time, prio int8) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, e.now))
 	}
 	e.seq++
-	ev := &Event{t: t, prio: prio, seq: e.seq, p: p}
-	heap.Push(&e.events, ev)
-	return ev
+	p.at, p.prio, p.seq = t, prio, e.seq
+	if p.slot < 0 {
+		e.queue = append(e.queue, p)
+		e.up(len(e.queue) - 1)
+		return
+	}
+	e.fix(p.slot)
+}
+
+// cancel drops p's pending wake, if any.
+func (e *Engine) cancel(p *Proc) {
+	i := p.slot
+	if i < 0 {
+		return
+	}
+	p.slot = -1
+	last := len(e.queue) - 1
+	moved := e.queue[last]
+	e.queue[last] = nil
+	e.queue = e.queue[:last]
+	if i < last {
+		e.queue[i] = moved
+		e.fix(i)
+	}
+}
+
+func (e *Engine) fix(i int) {
+	if !e.up(i) {
+		e.down(i)
+	}
+}
+
+// up sifts queue[i] toward the root, keeping Proc.slot current for
+// every entry it moves, and reports whether queue[i] moved.
+func (e *Engine) up(i int) bool {
+	q := e.queue
+	p := q[i]
+	start := i
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !p.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		q[i].slot = i
+		i = parent
+	}
+	q[i] = p
+	p.slot = i
+	return i != start
+}
+
+// down sifts queue[i] toward the leaves.
+func (e *Engine) down(i int) {
+	q := e.queue
+	n := len(q)
+	p := q[i]
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		least := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if q[j].before(q[least]) {
+				least = j
+			}
+		}
+		if !q[least].before(p) {
+			break
+		}
+		q[i] = q[least]
+		q[i].slot = i
+		i = least
+	}
+	q[i] = p
+	p.slot = i
 }
 
 // Run executes events until every process has finished. It panics on
 // deadlock: no runnable events while processes are still alive. A
 // panic inside a process is re-raised here, on the caller's
-// goroutine, after every other process has been unwound.
+// goroutine, after every other process has been unwound. A process
+// that calls runtime.Goexit ends the caller's goroutine the same way.
 func (e *Engine) Run() {
 	for e.alive > 0 {
 		var p *Proc
@@ -236,34 +284,30 @@ func (e *Engine) Run() {
 			if p == nil {
 				break
 			}
-			if p.pending != nil {
-				p.pending.Cancel()
-				p.pending = nil
-			}
+			e.cancel(p)
 		} else {
 			if e.tick != nil {
 				e.tick()
 			}
-			ev := e.next()
-			if ev == nil {
+			if len(e.queue) == 0 {
 				if e.idle != nil && e.idle() {
 					continue
 				}
 				panic("sim: deadlock — " + e.describeStall())
 			}
-			if ev.t < e.now {
+			p = e.queue[0]
+			e.cancel(p)
+			if p.at < e.now {
 				panic("sim: time went backwards")
 			}
-			e.now = ev.t
-			p = ev.p
-			p.pending = nil
+			e.now = p.at
 		}
 		p.state = stateRunning
 		e.current = p
-		p.wake <- struct{}{}
-		c := <-e.control
+		_, parked := p.resume()
 		e.current = nil
-		if c.finished {
+		if !parked {
+			p.state = stateDone
 			e.alive--
 		}
 	}
@@ -273,23 +317,12 @@ func (e *Engine) Run() {
 }
 
 // nextUnfinished returns any process that has not completed, for trap
-// unwinding. At the top of Run's loop no process is mid-handshake, so
-// every non-done process is parked (or never started) and safe to
-// resume.
+// unwinding. At the top of Run's loop no process is running, so every
+// non-done process is parked (or never started) and safe to resume.
 func (e *Engine) nextUnfinished() *Proc {
 	for _, p := range e.procs {
 		if p.state != stateDone {
 			return p
-		}
-	}
-	return nil
-}
-
-func (e *Engine) next() *Event {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
-		if !ev.canceled {
-			return ev
 		}
 	}
 	return nil
@@ -306,15 +339,12 @@ func (e *Engine) describeStall() string {
 	return b.String()
 }
 
-// park hands control back to the engine and blocks until woken. If
-// another process panicked while we were parked, resume by unwinding
-// (user defers on this process's stack still run).
+// park hands control back to Run until the process is resumed. If
+// another process panicked meanwhile, resume by unwinding (user
+// defers on this process's stack still run).
 func (p *Proc) park() {
 	p.state = stateParked
-	p.eng.control <- ctrl{p: p}
-	<-p.wake
-	p.pending = nil
-	p.state = stateRunning
+	p.yield(struct{}{})
 	if p.eng.trapped {
 		panic(abortSignal{})
 	}
@@ -327,7 +357,7 @@ func (p *Proc) WaitUntil(t units.Time) units.Time {
 	if t < p.eng.now {
 		panic("sim: WaitUntil into the past")
 	}
-	p.pending = p.eng.schedule(t, p)
+	p.eng.schedule(p, t, 0)
 	p.park()
 	return p.eng.now
 }
@@ -344,35 +374,27 @@ func (p *Proc) Sleep(d units.Time) units.Time {
 // ParkUntilWake parks with no timer; only Wake resumes the process.
 func (p *Proc) ParkUntilWake() units.Time {
 	p.mustBeCurrent("ParkUntilWake")
-	p.pending = nil
 	p.park()
 	return p.eng.now
 }
 
 // Wake makes a parked process runnable at the current virtual time,
-// cancelling any pending timer. The caller must be the currently
+// replacing any pending timer. The caller must be the currently
 // running process (or the engine owner between runs); a process cannot
 // wake itself. Waking an already-runnable or finished process is a
 // no-op, so completion broadcasts are safe.
 func (p *Proc) Wake() {
-	if p.eng.current == p {
+	e := p.eng
+	if e.current == p {
 		panic("sim: process woke itself")
 	}
-	switch p.state {
-	case stateDone:
+	if p.state == stateDone {
 		return
-	case stateParked, stateNew:
-		if p.pending != nil {
-			if p.pending.t == p.eng.now {
-				return // already scheduled to run now
-			}
-			p.pending.Cancel()
-		}
-		p.pending = p.eng.schedule(p.eng.now, p)
-	case stateRunning:
-		// Running but not current can only mean it is mid-handshake;
-		// it will park or finish momentarily and has its own event.
 	}
+	if p.slot >= 0 && p.at == e.now {
+		return // already scheduled to run now
+	}
+	e.schedule(p, e.now, 0)
 }
 
 func (p *Proc) mustBeCurrent(op string) {

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"hermes/internal/units"
 )
@@ -212,12 +214,160 @@ func TestManyProcsStress(t *testing.T) {
 	}
 }
 
-func TestEventCancel(t *testing.T) {
-	ev := &Event{}
-	ev.Cancel()
-	ev.Cancel() // idempotent
-	if !ev.canceled {
-		t.Fatal("cancel did not mark event")
+// TestWakeQueueOneEntryPerProc: repeated early Wakes and Injects
+// replace a process's pending wake in place. The queue never holds
+// more than one entry per live process, and a superseded wake never
+// fires.
+func TestWakeQueueOneEntryPerProc(t *testing.T) {
+	e := NewEngine()
+	maxQueued := 0
+	check := func() {
+		if len(e.queue) > e.alive {
+			t.Errorf("%d queued wakes for %d live processes", len(e.queue), e.alive)
+		}
+		maxQueued = max(maxQueued, len(e.queue))
+	}
+	var resumes []units.Time
+	sleeper := e.Go("sleeper", func(p *Proc) {
+		for range 8 {
+			resumes = append(resumes, p.Sleep(units.Millisecond))
+		}
+	})
+	e.Go("waker", func(p *Proc) {
+		for range 4 {
+			p.Sleep(10 * units.Microsecond)
+			sleeper.Wake()
+			sleeper.Wake() // same instant: no second entry
+			check()
+		}
+	})
+	// A parked process that the tick hook injects again and again:
+	// only the earliest wake may survive.
+	var injected []units.Time
+	parked, armed := false, false
+	target := e.Go("target", func(p *Proc) {
+		parked = true
+		injected = append(injected, p.ParkUntilWake())
+	})
+	e.SetTick(func() {
+		check()
+		if parked && !armed {
+			armed = true
+			for _, at := range []units.Time{100, 50, 80, 30, 60} {
+				e.Inject(target, at*units.Microsecond)
+			}
+			check()
+		}
+	})
+	e.Run()
+
+	want := []units.Time{10, 20, 30, 40, 1040, 2040, 3040, 4040}
+	if len(resumes) != len(want) {
+		t.Fatalf("sleeper resumed %d times (%v), want %d", len(resumes), resumes, len(want))
+	}
+	for i, at := range want {
+		if resumes[i] != at*units.Microsecond {
+			t.Fatalf("sleeper resumes %v; a superseded timer fired (want %vµs at step %d)", resumes, at, i)
+		}
+	}
+	if len(injected) != 1 || injected[0] != 30*units.Microsecond {
+		t.Fatalf("injected target resumed at %v, want once at 30µs", injected)
+	}
+	if maxQueued > 3 || len(e.queue) != 0 {
+		t.Fatalf("queue peaked at %d entries for 3 processes, %d left after Run", maxQueued, len(e.queue))
+	}
+}
+
+func explode() { panic("boom") }
+
+// TestTaskPanicCarriesProcessStack: a panic inside a process surfaces
+// from Run as *TaskPanic carrying the faulting process's stack, after
+// the other processes have been unwound through their defers.
+func TestTaskPanicCarriesProcessStack(t *testing.T) {
+	e := NewEngine()
+	unwound := false
+	e.Go("bystander", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.ParkUntilWake()
+	})
+	e.Go("faulty", func(p *Proc) {
+		p.Sleep(time1())
+		explode()
+	})
+	defer func() {
+		tp, ok := recover().(*TaskPanic)
+		if !ok {
+			t.Fatal("Run did not re-raise a *TaskPanic")
+		}
+		if tp.Value != "boom" {
+			t.Fatalf("panic value %v, want boom", tp.Value)
+		}
+		if !strings.Contains(string(tp.Stack), "sim.explode") {
+			t.Fatalf("stack lacks the faulting frame:\n%s", tp.Stack)
+		}
+		if !unwound {
+			t.Fatal("parked bystander was not unwound")
+		}
+	}()
+	e.Run()
+}
+
+// TestGoexitDoesNotHangRun: a process that calls runtime.Goexit (as
+// t.FailNow does) ends the goroutine that called Run instead of
+// leaving it blocked forever.
+func TestGoexitDoesNotHangRun(t *testing.T) {
+	done := make(chan struct{})
+	returned := false
+	go func() {
+		defer close(done)
+		e := NewEngine()
+		e.Go("bystander", func(p *Proc) { p.Sleep(time1()) })
+		e.Go("quitter", func(p *Proc) {
+			p.Sleep(time1())
+			runtime.Goexit()
+		})
+		e.Run()
+		returned = true
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run hung after a process called runtime.Goexit")
+	}
+	if returned {
+		t.Fatal("Run returned normally after a process called runtime.Goexit")
+	}
+}
+
+// TestSwitchAllocatesNothing: once warm, a Sleep loop and a park/wake
+// ping-pong allocate nothing per switch.
+func TestSwitchAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	var sleepAllocs, pingAllocs float64
+	var ping, pong *Proc
+	stop := false
+	ping = e.Go("ping", func(p *Proc) {
+		p.Sleep(time1()) // warm: pong is parked, the queue has grown
+		sleepAllocs = testing.AllocsPerRun(100, func() { p.Sleep(units.Nanosecond) })
+		pingAllocs = testing.AllocsPerRun(100, func() {
+			pong.Wake()
+			p.ParkUntilWake()
+		})
+		stop = true
+		pong.Wake()
+	})
+	pong = e.Go("pong", func(p *Proc) {
+		for {
+			p.ParkUntilWake()
+			if stop {
+				return
+			}
+			ping.Wake()
+		}
+	})
+	e.Run()
+	if sleepAllocs != 0 || pingAllocs != 0 {
+		t.Fatalf("allocs per switch: sleep %v, ping-pong %v; want 0", sleepAllocs, pingAllocs)
 	}
 }
 
